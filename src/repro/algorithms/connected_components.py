@@ -81,7 +81,7 @@ class ConnectedComponents(IterativeAlgorithm):
     batch_message_size = MESSAGE_SIZE_BYTES
 
     def compute_batch(self, batch, config) -> None:
-        """Array-pass equivalent of :meth:`compute` (one call per worker).
+        """Array-pass equivalent of :meth:`compute` (one call per worker block).
 
         Labels must vectorize (integer vertex ids); otherwise the engine
         falls back to the scalar path automatically.  Min-reduction is

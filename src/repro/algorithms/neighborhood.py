@@ -128,7 +128,7 @@ class NeighborhoodEstimation(IterativeAlgorithm):
     batch_row_reducer = "bitwise_or"
 
     def compute_batch(self, batch, config: NeighborhoodConfig) -> None:
-        """Array-pass equivalent of :meth:`compute` (one call per worker).
+        """Array-pass equivalent of :meth:`compute` (one call per worker block).
 
         Sketches are fixed-width integer rows, so the ragged plane's
         ``"rows"`` kind applies: incoming sketches are OR-reduced per

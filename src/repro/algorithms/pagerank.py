@@ -120,7 +120,7 @@ class PageRank(IterativeAlgorithm):
     batch_message_size = MESSAGE_SIZE_BYTES
 
     def compute_batch(self, batch, config: PageRankConfig) -> None:
-        """Array-pass equivalent of :meth:`compute` (one call per worker).
+        """Array-pass equivalent of :meth:`compute` (one call per worker block).
 
         Mirrors the scalar arithmetic operation-for-operation -- same
         expression structure, same float64 types -- so vertex values, deltas

@@ -62,6 +62,90 @@ TOTAL_AGGREGATOR = "semiclustering.total"
 NUMERIC_VMAX_LIMIT = 64
 
 
+#: Extension records whose adjacency streams one fold pass expands at once.
+#: A superstep's ``compute_batch`` covers a whole block of workers, and its
+#: extension stream (one copy of a vertex's out-edges per extendable record)
+#: is the largest intermediate of the fold; chunking it bounds peak memory.
+#: Results do not depend on the value: every record's folds stay whole.
+EXTENSION_CHUNK_RECORDS = 2048
+
+
+def _extension_weights(
+    batch, ext_vertex: np.ndarray, ext_members: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge weight from each extending vertex into / out of its cluster.
+
+    Record ``r`` extends the cluster with members ``ext_members[r]`` (-1
+    padded) by vertex ``ext_vertex[r]``.  Returns per-record
+    ``(weight_to_members, weight_to_outside)`` -- the masked sums over the
+    vertex's out-edges in adjacency order that ``SemiCluster.extended_with``
+    computes, via the sequential
+    :func:`~repro.bsp.kernels.reference.masked_segment_left_fold`.  The
+    adjacency stream is expanded :data:`EXTENSION_CHUNK_RECORDS` records at
+    a time.
+    """
+    indptr = batch.edge_indptr
+    targets = batch.edge_targets
+    weights = batch.edge_weights
+    fold = batch.kernels.masked_segment_left_fold
+    num_ext = len(ext_vertex)
+    to_members = np.empty(num_ext, dtype=np.float64)
+    to_outside = np.empty(num_ext, dtype=np.float64)
+    for lo in range(0, num_ext, EXTENSION_CHUNK_RECORDS):
+        hi = min(lo + EXTENSION_CHUNK_RECORDS, num_ext)
+        vertex = ext_vertex[lo:hi]
+        degrees = batch.out_degrees[vertex]
+        slots = concat_ranges(indptr[vertex], degrees)
+        stream_t = targets[slots]
+        stream_w = weights[slots]
+        in_members = np.zeros(len(stream_t), dtype=bool)
+        for column in ext_members[lo:hi].T:
+            in_members |= stream_t == np.repeat(column, degrees)
+        stream_seg = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
+        to_members[lo:hi] = fold(stream_w, in_members, stream_seg, hi - lo)
+        outside = ~in_members & (stream_t != np.repeat(vertex, degrees))
+        to_outside[lo:hi] = fold(stream_w, outside, stream_seg, hi - lo)
+    return to_members, to_outside
+
+
+def _extend_records(
+    batch, records: np.ndarray, vertex: np.ndarray, str_rank: np.ndarray
+) -> np.ndarray:
+    """``records[r]`` extended by ``vertex[r]``, as ``SemiCluster.extended_with``.
+
+    Records use the numeric plane's layout (see
+    :meth:`SemiClustering.encode_numeric_object_plane`): the weights follow
+    the scalar expressions term for term, and the vertex is inserted into
+    the string-rank-sorted member slots.  Every record has a free member
+    slot (extension requires fewer than ``v_max`` members).
+    """
+    # Member slots past the largest cluster are -1 padding in every record;
+    # they neither match a target nor move, so only the used ones are read.
+    used = int(records[:, 2].max()) if len(records) else 0
+    members = records[:, 3 : 3 + used]
+    members_int = members.astype(np.int64)
+    to_members, to_outside = _extension_weights(batch, vertex, members_int)
+    extended = np.full_like(records, -1.0)
+    extended[:, 0] = records[:, 0] + to_members
+    shrunk = records[:, 1] - to_members
+    extended[:, 1] = np.where(shrunk > 0.0, shrunk, 0.0) + to_outside
+    extended[:, 2] = records[:, 2] + 1.0
+    member_ranks = np.where(
+        members_int >= 0, str_rank[np.maximum(members_int, 0)], len(str_rank)
+    )
+    insert_pos = (member_ranks < str_rank[vertex][:, None]).sum(axis=1)
+    vertex_col = vertex.astype(np.float64)
+    for j in range(used + 1):
+        shifted = members[:, j - 1] if j else np.full(len(vertex), -1.0)
+        current = members[:, j] if j < used else -1.0
+        extended[:, 3 + j] = np.where(
+            j < insert_pos,
+            current,
+            np.where(j == insert_pos, vertex_col, shifted),
+        )
+    return extended
+
+
 def _positions_within(counts: np.ndarray) -> np.ndarray:
     """0-based position of each element within its (concatenated) segment."""
     total = int(counts.sum())
@@ -497,48 +581,9 @@ class SemiClustering(IterativeAlgorithm):
 
         # ------------------------------------------------------- extensions
         ext = np.flatnonzero(extendable)
-        num_ext = len(ext)
-        if num_ext:
-            ext_seg = rec_seg[ext]
-            ext_vertex = idx[ext_seg]
-            degrees = out_degrees[ext_vertex]
-            slots = concat_ranges(indptr[ext_vertex], degrees)
-            stream_t = targets[slots]
-            stream_w = weights[slots]
-            ext_members = received[ext, 3:]
-            ext_members_int = rec_members_int[ext]
-            in_members = np.zeros(len(stream_t), dtype=bool)
-            for j in range(v_max):
-                in_members |= stream_t == np.repeat(ext_members_int[:, j], degrees)
-            stream_seg = np.repeat(np.arange(num_ext, dtype=np.int64), degrees)
-            weight_to_members = batch.kernels.masked_segment_left_fold(
-                stream_w, in_members, stream_seg, num_ext
-            )
-            outside = ~in_members & (stream_t != np.repeat(ext_vertex, degrees))
-            weight_to_outside = batch.kernels.masked_segment_left_fold(
-                stream_w, outside, stream_seg, num_ext
-            )
-            ext_internal = received[ext, 0] + weight_to_members
-            shrunk = received[ext, 1] - weight_to_members
-            ext_boundary = np.where(shrunk > 0.0, shrunk, 0.0) + weight_to_outside
-            # Insert the vertex into the rank-sorted member slots.
-            member_ranks = np.where(
-                ext_members_int >= 0, str_rank[np.maximum(ext_members_int, 0)], n
-            )
-            insert_rank = str_rank[ext_vertex]
-            insert_pos = (member_ranks < insert_rank[:, None]).sum(axis=1)
-            ext_new_members = np.empty_like(ext_members)
-            vertex_col = ext_vertex.astype(np.float64)
-            for j in range(v_max):
-                shifted = ext_members[:, j - 1] if j else np.full(num_ext, -1.0)
-                ext_new_members[:, j] = np.where(
-                    j < insert_pos,
-                    ext_members[:, j],
-                    np.where(j == insert_pos, vertex_col, shifted),
-                )
-            ext_counts_per_vertex = np.bincount(ext_seg, minlength=k)
-        else:
-            ext_counts_per_vertex = np.zeros(k, dtype=np.int64)
+        ext_seg = rec_seg[ext]
+        ext_records = _extend_records(batch, received[ext], idx[ext_seg], str_rank)
+        ext_counts_per_vertex = np.bincount(ext_seg, minlength=k)
 
         # ------------------------------------------- candidate list assembly
         # Scalar order per vertex: all received clusters first (delivery
@@ -552,17 +597,16 @@ class SemiClustering(IterativeAlgorithm):
         cand_contains = np.empty(total, dtype=bool)
         cand_rec[rec_to] = received
         cand_contains[rec_to] = contains
-        if num_ext:
-            ext_to = (
-                cand_offsets[ext_seg]
-                + rec_counts[ext_seg]
-                + _positions_within(ext_counts_per_vertex)
-            )
-            cand_rec[ext_to, 0] = ext_internal
-            cand_rec[ext_to, 1] = ext_boundary
-            cand_rec[ext_to, 2] = rec_counts_col[ext] + 1.0
-            cand_rec[ext_to, 3:] = ext_new_members
-            cand_contains[ext_to] = True
+        ext_to = (
+            cand_offsets[ext_seg]
+            + rec_counts[ext_seg]
+            + _positions_within(ext_counts_per_vertex)
+        )
+        cand_rec[ext_to] = ext_records
+        cand_contains[ext_to] = True
+        # One call covers a whole worker block: drop the per-call arrays as
+        # soon as they are dead to keep the peak footprint down.
+        del received, rec_members_int, rec_counts_col, contains, extendable, ext_records
         cand_seg = np.repeat(np.arange(k, dtype=np.int64), cand_counts)
 
         # -------------------------------------------------- score + sorting
@@ -575,13 +619,16 @@ class SemiClustering(IterativeAlgorithm):
             0.0,
             (cand_rec[:, 0] - config.boundary_factor * cand_rec[:, 1]) / safe_norm,
         )
-        members_int = cand_rec[:, 3:].astype(np.int64)
         # Tie-break keys: member string ranks shifted to 1..n with 0 for
         # padding, so a rank-prefix cluster sorts before its extensions --
         # Python's shorter-tuple-first rule.  As many rank columns as fit
         # are bit-packed into each int64 lexsort key (fields compare
         # lexicographically, so the order is unchanged); this halves the
         # number of stable sort passes, the hottest part of the fold.
+        # Slots past the largest candidate are padding in every row, a
+        # constant key that cannot change the order, so they are left out.
+        used = int(cand_count.max())
+        members_int = cand_rec[:, 3 : 3 + used].astype(np.int64)
         rank_plus = np.where(
             members_int >= 0, str_rank[np.maximum(members_int, 0)] + 1, 0
         )
@@ -590,9 +637,11 @@ class SemiClustering(IterativeAlgorithm):
         packed = batch.kernels.pack_rank_keys(rank_plus, bits, per_key)
         # lexsort: last key is primary.  Priority (vertex, -score, ranks).
         order = np.lexsort(tuple(reversed(packed)) + (np.negative(score), cand_seg))
+        del members_int, rank_plus, packed, score, normaliser, safe_norm
         s_rec = cand_rec[order]
         s_count = s_rec[:, 2]
         s_contains = cand_contains[order]
+        del cand_rec, cand_count, cand_contains, order
         # The sort is grouped by vertex (primary key), so segment offsets and
         # per-element positions are unchanged.
         position = _positions_within(cand_counts)

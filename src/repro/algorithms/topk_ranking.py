@@ -123,7 +123,7 @@ class TopKRanking(IterativeAlgorithm):
     batch_payload = "ragged"
 
     def compute_batch(self, batch, config: TopKRankingConfig) -> None:
-        """Array-pass equivalent of :meth:`compute` (one call per worker).
+        """Array-pass equivalent of :meth:`compute` (one call per worker block).
 
         Rank lists are variable-length float rows on the ragged plane.  The
         scalar ``sorted(set(current) | received, reverse=True)[:k]`` is a

@@ -29,10 +29,12 @@ simulator at toy graph sizes.  When three conditions hold --
    components do) with a constant ``batch_message_size``, and
 3. the vertex values vectorize into a numeric NumPy array --
 
-the engine instead processes **all active vertices of a worker in one array
-pass** per superstep.  Message routing and combining are array reductions
-over the CSR edge stream and the per-worker local/remote message and byte
-counters are derived from the same arrays, so every
+the engine instead processes **all active vertices of all workers in one
+array pass** per superstep (one ``compute_batch`` call per worker block; see
+:meth:`repro.bsp.ragged.BatchPlane.compute_block`).  Message routing and
+combining are array reductions over the CSR edge stream, and the per-worker
+local/remote message and byte counters are derived from the same arrays --
+each send's edge stream is cut at the worker boundaries -- so every
 :class:`IterationProfile` feature stays *bit-identical* to the scalar path:
 
 * edges are expanded in exactly the scalar send order (worker by worker,
@@ -56,8 +58,8 @@ not execute on the frozen graph as loaded: it executes on
 contiguous index range ``offsets[w]:offsets[w + 1]`` and a contiguous CSR
 edge slice, which turns the per-superstep hot loops into slice arithmetic:
 
-* activation works on array slices (:meth:`Worker.select_active_range`);
-* a worker whose active set is its whole partition expands its out-edges as
+* activation is one pass over the block's vertex slice;
+* a block whose active set is its whole partition expands its out-edges as
   a *view* of the CSR ``targets`` array -- no ``concat_ranges`` gather;
 * the local/remote message split is two range comparisons against the
   sender's offsets instead of a gather through a vertex-to-worker map;
@@ -391,12 +393,15 @@ class BSPEngine:
 
 
 class BatchContext(RaggedBatchContext):
-    """Whole-worker view handed to an algorithm's ``compute_batch``.
+    """Worker-block view handed to an algorithm's ``compute_batch``.
 
-    One instance is built per (worker, superstep) on the scalar-payload fast
-    path.  It is the array analogue of :class:`repro.bsp.vertex.VertexContext`;
-    the shared surface (``indices`` / ``out_degrees`` / ``message_counts`` /
-    ``aggregate`` / ``vote_to_halt``) comes from
+    One instance is built per (worker block, superstep) on the scalar-payload
+    fast path: inline the block is every worker, on the process backend the
+    process's own worker block, and ``indices`` concatenates the block's
+    active vertices in worker order.  It is the array analogue of
+    :class:`repro.bsp.vertex.VertexContext`; the shared surface
+    (``indices`` / ``out_degrees`` / ``message_counts`` / ``aggregate`` /
+    ``vote_to_halt``) comes from
     :class:`repro.bsp.ragged.RaggedBatchContext`, so the semantics every
     batch plane must keep bit-identical exist once.  On top of it:
 
@@ -431,7 +436,7 @@ class BatchContext(RaggedBatchContext):
         until the superstep barrier -- treat it as immutable after sending
         (the batch algorithms always pass freshly computed arrays).
         """
-        self._state.send_to_all_neighbors(self._worker, self.indices, payloads, mask)
+        self._state.send_to_all_neighbors(self._block, self.indices, payloads, mask)
 
 
 class _VectorizedState(BatchPlane):
@@ -495,7 +500,7 @@ class _VectorizedState(BatchPlane):
         return cls(run, values)
 
     # -------------------------------------------------------------- messaging
-    def send_to_all_neighbors(self, worker: Worker, indices, payloads, mask) -> None:
+    def send_to_all_neighbors(self, workers, indices, payloads, mask) -> None:
         payloads = np.asarray(payloads)
         if mask is not None:
             indices = indices[mask]
@@ -503,16 +508,12 @@ class _VectorizedState(BatchPlane):
         expanded = self._expand(indices)
         if expanded is None:
             return
-        destinations, lengths, total, span, edge_span = expanded
+        destinations, lengths, _, _, edge_span = expanded
         self._ev_dest.append(destinations)
         self._ev_pay.append(payloads)
         self._ev_len.append(lengths)
         self._ev_espan.append(edge_span)
-
-        _, local = self._local_mask(worker, destinations, span)
-        size = self.message_size
-        worker.counters.record_sent(total, local, local * size, (total - local) * size)
-        self.run._next_message_count += total
+        self._record_sent(workers, indices, expanded, self.message_size)
 
     def _commit_superstep(self) -> None:
         """Fold the superstep's buffered edge stream into the accumulators.

@@ -2,10 +2,10 @@
 
 Each process owns a contiguous block of BSP workers -- and therefore a
 contiguous vertex range and CSR edge slice of the partition-native layout.
-Per superstep it runs the *inline engine's own kernels*
-(:meth:`repro.bsp.worker.Worker.select_active_range`, the algorithm's
-``compute_batch`` on the plane's context) for exactly its workers, exchanges
-send streams through shared-memory arenas, and owner-reduces the messages
+Per superstep it runs the *inline engine's own block step*
+(:meth:`repro.bsp.ragged.BatchPlane.compute_block`: one activation pass and
+one ``compute_batch`` call over its whole worker block), exchanges send
+streams through shared-memory arenas, and owner-reduces the messages
 addressed to its range (:mod:`repro.bsp.parallel.protocol`).
 
 The process keeps a full-size replica of the plane's state arrays but only
@@ -50,10 +50,13 @@ wall-clock records -- with the ``reduced`` reply.  The master re-bases them
 onto its clock and re-parents them under its superstep span
 (:meth:`Tracer.adopt <repro.obs.tracer.Tracer.adopt>`).
 
-On ``stop`` the child ships its owned slice of the final vertex values and
-returns to the command loop, ready for the next run (the pool is
-persistent).  Any exception is reported as an ``error`` message with the
-formatted traceback; the master re-raises it as a :class:`BSPError`.
+On ``stop`` the child closes its peer attachments, unlinks its arena, and
+only then ships its owned slice of the final vertex values (so ``/dev/shm``
+holds none of its stream blocks once the master's ``run()`` returns); an
+``abort`` releases them the same way before returning.  It then goes back to
+the command loop, ready for the next run (the pool is persistent).  Any
+exception is reported as an ``error`` message with the formatted traceback;
+the master re-raises it as a :class:`BSPError`.
 """
 
 from __future__ import annotations
@@ -240,17 +243,7 @@ def _execute_run(conn, proc_index: int, setup: dict) -> None:
             compute_span = tracer.begin("compute")
             if tracer.enabled:
                 compute_span.set("superstep", superstep)
-            for worker in workers:
-                worker.begin_superstep(superstep)
-                active = worker.select_active_range(
-                    int(offsets[worker.worker_id]),
-                    int(offsets[worker.worker_id + 1]),
-                    plane.halted,
-                    plane.msg_count,
-                )
-                if len(active):
-                    batch = plane.context_cls(plane, worker, active, superstep)
-                    algorithm.compute_batch(batch, config)
+            plane.compute_block(workers, superstep)
             compute_span.finish()
             if fault is not None and fault.kind == "corrupt":
                 corrupt_stream(plane, kind)
@@ -266,6 +259,7 @@ def _execute_run(conn, proc_index: int, setup: dict) -> None:
             # ---- exchange barrier: all streams are on shared memory now.
             reply = conn.recv()
             if reply[0] == "abort":
+                _release_streams(reader, arena)
                 return
             tables = reply[1]
             streams = []
@@ -299,15 +293,17 @@ def _execute_run(conn, proc_index: int, setup: dict) -> None:
             # ---- master barrier: aggregates reduced, stop decided.
             reply = conn.recv()
             if reply[0] == "abort":
+                _release_streams(reader, arena)
                 return
             _, stop, previous, checkpoint_now = reply
             registry.previous = dict(previous)
             plane.advance()
             if stop:
-                conn.send((
-                    "values", proc_index, token,
-                    (lo, hi, export_values_slice(plane, kind, lo, hi)),
-                ))
+                values = export_values_slice(plane, kind, lo, hi)
+                # The master's run() returns as soon as this message lands,
+                # so this process's arena must be gone before it is sent.
+                _release_streams(reader, arena)
+                conn.send(("values", proc_index, token, (lo, hi, values)))
                 return
             if checkpoint_now:
                 # Post-advance state slice -- msg_count/inboxes hold the
@@ -320,6 +316,17 @@ def _execute_run(conn, proc_index: int, setup: dict) -> None:
                 ))
             superstep += 1
     finally:
-        reader.close()
-        arena.destroy()
+        _release_streams(reader, arena)
         shared.close()
+
+
+def _release_streams(reader: ArenaReader, arena: SharedArena) -> None:
+    """Close the peer attachments and unlink this process's arena block.
+
+    Runs before the run's last message to the master (``values``, or the
+    return on ``abort``): once the master has that message it may report
+    ``/dev/shm`` clean.  Both calls are idempotent, so the ``finally`` of
+    :func:`_execute_run` repeats them for the error paths.
+    """
+    reader.close()
+    arena.destroy()

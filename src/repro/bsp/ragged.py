@@ -48,8 +48,10 @@ and bytes feed the memory model per destination vertex.  The plane does not
 support combiners (none of the variable-size algorithms define one); when a
 run has an active combiner the engine falls back to the scalar path.
 
-All planes share :class:`BatchPlane`, which owns the partition-native layout
-machinery: the execution graph (``run.batch_graph()``, the
+All planes share :class:`BatchPlane`, which owns the superstep's block step
+(one activation pass and one ``compute_batch`` call per block of workers,
+with each send's counters split back per worker) and the partition-native
+layout machinery: the execution graph (``run.batch_graph()``, the
 partition-contiguous relabelling when ``partition_native`` is on), contiguous
 per-worker ownership ranges, slice-view out-edge expansion for contiguous
 sender ranges, cached full-partition local/remote classification, and
@@ -69,6 +71,7 @@ import numpy as np
 from repro.exceptions import BSPError
 from repro.bsp.kernels import get_kernels
 from repro.bsp.kernels import reference as _ref_kernels
+from repro.bsp.worker import Worker
 from repro.graph.csr import concat_ranges
 
 VertexId = Hashable
@@ -207,15 +210,21 @@ def ragged_rows_equal(left: Ragged, right: Ragged) -> np.ndarray:
 
 # ---------------------------------------------------------------- batch state
 class BatchPlane:
-    """Worker loop, activation and buffer bookkeeping shared by all planes.
+    """Worker-block loop, activation and buffer bookkeeping shared by all planes.
 
     Base of *every* batch execution plane -- the scalar-payload
     ``_VectorizedState`` in :mod:`repro.bsp.engine` and the three ragged
-    kinds below -- so the superstep loop, the activation rule
-    (:meth:`repro.bsp.worker.Worker.select_active`) and the barrier swap
-    exist exactly once.  Implements the interface the engine's run loop
-    expects: ``execute_superstep`` / ``advance`` / ``count_active_next`` /
-    ``buffered_for`` / ``export_values``.
+    kinds below -- so the superstep loop, the activation rule and the
+    barrier swap exist exactly once.  Implements the interface the engine's
+    run loop expects: ``execute_superstep`` / ``advance`` /
+    ``count_active_next`` / ``buffered_for`` / ``export_values``.
+
+    A superstep is **one** ``compute_batch`` call per *block* of workers
+    (:meth:`compute_block`): inline the block is every worker, on the
+    process backend it is the process's own worker block.  The context's
+    ``indices`` are the block's active vertices concatenated in worker
+    order, and every send is split back into per-worker Table 1 counters by
+    cutting its sender-ordered edge stream at the worker boundaries.
     """
 
     #: Context class handed to ``compute_batch`` (set by subclasses).
@@ -260,37 +269,86 @@ class BatchPlane:
         # Per-worker (mask, local_count) of a full-partition send; constant
         # across supersteps on the frozen layout (see _local_mask).
         self._span_cache: List[Optional[tuple]] = [None] * run.num_workers
+        # Per-block activation geometry (see _block_geometry).
+        self._blocks: Dict[Tuple[int, int], tuple] = {}
 
     # ----------------------------------------------------------- superstep run
     def execute_superstep(self, superstep: int) -> None:
         run = self.run
         tracer = run.tracer
-        offsets = self.worker_offsets
         compute_span = tracer.begin("compute")
-        for worker in run.workers:
-            worker.begin_superstep(superstep)
-            if offsets is not None:
-                active = worker.select_active_range(
-                    int(offsets[worker.worker_id]),
-                    int(offsets[worker.worker_id + 1]),
-                    self.halted,
-                    self.msg_count,
-                )
-            else:
-                active = worker.select_active(
-                    self.own[worker.worker_id], self.halted, self.msg_count
-                )
-            if len(active) == 0:
-                continue
-            batch = self.context_cls(self, worker, active, superstep)
-            run.algorithm.compute_batch(batch, run.config)
+        self.compute_block(run.workers, superstep)
         compute_span.finish()
         messaging_span = tracer.begin("messaging")
         self._commit_superstep()
         messaging_span.finish()
 
     def _commit_superstep(self) -> None:
-        """Apply value updates staged during the worker loop (subclass hook)."""
+        """Apply value updates staged during the block step (subclass hook)."""
+
+    def compute_block(self, workers: Sequence, superstep: int) -> None:
+        """One superstep's compute phase for a contiguous block of workers.
+
+        Resets the workers' counters, activates the whole block at once and
+        hands the algorithm the concatenated active set (worker order, then
+        partition order) in a single ``compute_batch`` call.  The inline
+        engine passes every worker; a process-backend child passes its own
+        ``worker_block``.
+        """
+        for worker in workers:
+            worker.begin_superstep(superstep)
+        active = self._activate_block(workers)
+        if len(active):
+            batch = self.context_cls(self, workers, active, superstep)
+            self.run.algorithm.compute_batch(batch, self.run.config)
+
+    def _block_geometry(self, workers: Sequence) -> tuple:
+        """``(selector, cuts)`` of a worker block, cached per block.
+
+        ``selector`` indexes vertex-aligned arrays with the block's vertices
+        in worker order: a slice on the partition-native layout, the
+        concatenated per-worker index arrays on the legacy layout.  ``cuts``
+        are the worker boundaries as positions into the selection.
+        """
+        key = (workers[0].worker_id, workers[-1].worker_id + 1)
+        geometry = self._blocks.get(key)
+        if geometry is None:
+            first, stop = key
+            offsets = self.worker_offsets
+            if offsets is not None:
+                base = int(offsets[first])
+                selector = slice(base, int(offsets[stop]))
+                cuts = offsets[first : stop + 1] - base
+            else:
+                parts = self.own[first:stop]
+                selector = np.concatenate(parts)
+                cuts = np.zeros(len(parts) + 1, dtype=np.int64)
+                np.cumsum([len(part) for part in parts], out=cuts[1:])
+            geometry = self._blocks[key] = (selector, cuts)
+        return geometry
+
+    def _activate_block(self, workers: Sequence) -> np.ndarray:
+        """The block's active vertex indices; sets each ``active_vertices``.
+
+        The scalar activation rule in array form, over the whole block in one
+        pass: a vertex is active when it has not voted to halt or when it has
+        incoming messages (which clear its halt vote).  Per-worker active
+        counts come from the worker boundaries of the selection.
+        """
+        selector, cuts = self._block_geometry(workers)
+        halted = self.halted[selector]
+        has_messages = self.msg_count[selector] > 0
+        # ``halted`` may be a view into ``self.halted``; materialise the
+        # activation mask before clearing the halt votes below mutates it.
+        active_mask = ~halted | has_messages
+        self.halted[selector] = halted & ~has_messages
+        positions = np.flatnonzero(active_mask)
+        counts = np.diff(np.searchsorted(positions, cuts))
+        for worker, count in zip(workers, counts.tolist()):
+            worker.counters.active_vertices = count
+        if isinstance(selector, slice):
+            return positions + selector.start
+        return selector[positions]
 
     # ------------------------------------------------------- layout primitives
     def own_selector(self, worker_id: int):
@@ -311,7 +369,7 @@ class BatchPlane:
 
         ``senders`` must be ascending vertex indices (the activation order).
         On the partition-native layout a contiguous sender range -- the common
-        case: a worker whose active set is its whole partition -- expands to a
+        case: a block whose active set is its whole partition -- expands to a
         *slice view* of the CSR ``targets`` array; no ``concat_ranges`` gather
         and no copy.  Scattered senders fall back to the gather.  ``span`` is
         the ``(start, stop)`` vertex range of a contiguous expansion (None for
@@ -343,6 +401,76 @@ class BatchPlane:
             return None
         slots = concat_ranges(self.indptr[senders], lengths)
         return self.targets[slots], lengths, total, None, None
+
+    def _worker_slices(self, workers: Sequence, senders: np.ndarray, expanded):
+        """Cut one send's edge stream at the block's worker boundaries.
+
+        Returns ``(edge_start, edge_stop, span)`` per worker of the block:
+        the worker's slice of the sender-ordered edge stream and, for a
+        contiguous send, the worker's part of its sender range (None for
+        scattered senders).
+        The cuts come from the *senders* -- range clipping for a contiguous
+        send, a ``searchsorted`` of the worker boundaries otherwise -- never
+        from an owner lookup per destination.  The first and last workers
+        absorb any sender outside the block, so a block of one worker takes
+        the whole send.
+        """
+        _, lengths, total, span, _ = expanded
+        count = len(workers)
+        if count == 1:
+            return [(0, total, span)]
+        first = workers[0].worker_id
+        offsets = self.worker_offsets
+        if span is not None:
+            start, stop = span
+            interior = np.clip(offsets[first + 1 : first + count], start, stop)
+            bounds = [start] + interior.tolist() + [stop]
+            edges = (self.indptr[bounds] - self.indptr[start]).tolist()
+            return [
+                (edges[i], edges[i + 1], (bounds[i], bounds[i + 1]))
+                for i in range(count)
+            ]
+        if offsets is not None:
+            interior = np.searchsorted(senders, offsets[first + 1 : first + count])
+        else:
+            interior = np.searchsorted(
+                self.vertex_worker[senders],
+                np.arange(first + 1, first + count),
+            )
+        cuts = [0] + interior.tolist() + [len(senders)]
+        prefix = np.zeros(len(senders) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=prefix[1:])
+        edges = prefix[cuts].tolist()
+        return [(edges[i], edges[i + 1], None) for i in range(count)]
+
+    def _record_sent(self, workers, senders: np.ndarray, expanded, sizes) -> None:
+        """Fold one send into the Table 1 counters of the workers that sent it.
+
+        ``workers`` is the sending block (a single :class:`Worker` is a
+        block of one); ``sizes`` is the constant message size or the per-edge
+        byte sizes aligned with the expanded destinations.
+        """
+        if isinstance(workers, Worker):
+            workers = (workers,)
+        destinations = expanded[0]
+        per_edge = isinstance(sizes, np.ndarray)
+        for worker, (lo, hi, span) in zip(
+            workers, self._worker_slices(workers, senders, expanded)
+        ):
+            if lo == hi:
+                continue
+            mask, local = self._local_mask(worker, destinations[lo:hi], span)
+            if per_edge:
+                edge_sizes = sizes[lo:hi]
+                local_bytes = int(edge_sizes[mask].sum())
+                total_bytes = int(edge_sizes.sum())
+            else:
+                local_bytes = local * sizes
+                total_bytes = (hi - lo) * sizes
+            worker.counters.record_sent(
+                hi - lo, local, local_bytes, total_bytes - local_bytes
+            )
+        self.run._next_message_count += expanded[2]
 
     def _local_mask(self, worker, destinations: np.ndarray, span=None):
         """``(mask, local_count)`` for destinations on the sending worker.
@@ -434,20 +562,21 @@ class _RaggedStateBase(BatchPlane):
         self._steady: Optional[Tuple[np.ndarray, np.ndarray, Any]] = None
 
     # --------------------------------------------------------------- messaging
-    def _route(self, worker, senders: np.ndarray, sizes: np.ndarray):
+    def _route(self, workers, senders: np.ndarray, sizes: np.ndarray):
         """Expand senders' out-edges in scalar send order and count them.
 
         ``sizes[i]`` is the byte size of sender ``i``'s payload (every copy
         along its out-edges has the same size, exactly as the scalar path's
-        per-edge ``message_size`` calls report).  Returns ``(destinations,
-        degrees, span)`` or None when no edges exist; ``span`` is the
-        contiguous ``(start, stop)`` sender range (None for scattered
-        senders).
+        per-edge ``message_size`` calls report).  ``workers`` is the sending
+        block; the counters are split per worker (:meth:`_record_sent`).
+        Returns ``(destinations, degrees, span)`` or None when no edges
+        exist; ``span`` is the contiguous ``(start, stop)`` sender range
+        (None for scattered senders).
         """
         expanded = self._expand(senders)
         if expanded is None:
             return None
-        destinations, degrees, total, span, _ = expanded
+        destinations, degrees, _, span, _ = expanded
         sizes = np.asarray(sizes, dtype=np.int64)
         self._ev_sizes.append(sizes)
         per_edge_sizes = np.repeat(sizes, degrees)
@@ -457,12 +586,7 @@ class _RaggedStateBase(BatchPlane):
         self.bytes_next += np.bincount(
             destinations, weights=per_edge_sizes, minlength=n
         ).astype(np.int64)
-
-        local_mask, local = self._local_mask(worker, destinations, span)
-        local_bytes = int(per_edge_sizes[local_mask].sum())
-        total_bytes = int(per_edge_sizes.sum())
-        worker.counters.record_sent(total, local, local_bytes, total_bytes - local_bytes)
-        self.run._next_message_count += total
+        self._record_sent(workers, senders, expanded, per_edge_sizes)
         return destinations, degrees, span
 
     # ------------------------------------------------------------- accounting
@@ -510,18 +634,23 @@ class _RaggedStateBase(BatchPlane):
 
 
 class RaggedBatchContext:
-    """API surface shared by the ragged batch contexts.
+    """API surface shared by the batch contexts of every plane.
 
-    The array analogue of :class:`repro.bsp.vertex.VertexContext` for
-    variable-size payloads; subclasses add the payload-kind-specific value
-    and messaging accessors.
+    The array analogue of :class:`repro.bsp.vertex.VertexContext`; subclasses
+    add the payload-kind-specific value and messaging accessors.  One
+    instance is built per (worker block, superstep) by
+    :meth:`BatchPlane.compute_block`: ``indices`` may span several workers
+    (their active vertices, concatenated in worker order), so
+    ``compute_batch`` must stay vertex-local -- each vertex reads only its
+    own value, mailbox and out-edges -- and reduce across vertices only
+    through :meth:`aggregate`.
     """
 
-    __slots__ = ("_state", "_worker", "indices", "superstep")
+    __slots__ = ("_state", "_block", "indices", "superstep")
 
-    def __init__(self, state: _RaggedStateBase, worker, indices, superstep: int) -> None:
+    def __init__(self, state: _RaggedStateBase, block, indices, superstep: int) -> None:
         self._state = state
-        self._worker = worker
+        self._block = block
         self.indices = indices
         self.superstep = superstep
 
@@ -586,7 +715,7 @@ class RowBatchContext(RaggedBatchContext):
 
     def send_rows_to_all_neighbors(self, senders, rows, sizes) -> None:
         """Send row ``rows[i]`` along every out-edge of ``senders[i]``."""
-        self._state.send_rows(self._worker, senders, rows, sizes)
+        self._state.send_rows(self._block, senders, rows, sizes)
 
 
 class RowReduceState(_RaggedStateBase):
@@ -614,8 +743,8 @@ class RowReduceState(_RaggedStateBase):
         # full-graph superstep.
         self._rev_group: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def send_rows(self, worker, senders, rows, sizes) -> None:
-        routed = self._route(worker, senders, sizes)
+    def send_rows(self, workers, senders, rows, sizes) -> None:
+        routed = self._route(workers, senders, sizes)
         if routed is None:
             return
         destinations, degrees, span = routed
@@ -728,7 +857,7 @@ class StreamBatchContext(RaggedBatchContext):
 
     def send_ragged_to_all_neighbors(self, senders, rows: Ragged, sizes) -> None:
         """Send ragged row ``rows[i]`` along every out-edge of ``senders[i]``."""
-        self._state.send_ragged(self._worker, senders, rows, sizes)
+        self._state.send_ragged(self._block, senders, rows, sizes)
 
 
 class RaggedStreamState(_RaggedStateBase):
@@ -748,8 +877,8 @@ class RaggedStreamState(_RaggedStateBase):
         self._ev_row_base = 0
         self._staged: List[Tuple[np.ndarray, Ragged]] = []
 
-    def send_ragged(self, worker, senders, rows: Ragged, sizes) -> None:
-        routed = self._route(worker, senders, sizes)
+    def send_ragged(self, workers, senders, rows: Ragged, sizes) -> None:
+        routed = self._route(workers, senders, sizes)
         if routed is None:
             return
         destinations, degrees, _ = routed
@@ -843,7 +972,7 @@ class ObjectBatchContext(RaggedBatchContext):
 
     def send_objects_to_all_neighbors(self, senders, payloads: List[Any]) -> None:
         """Send payload ``payloads[i]`` along every out-edge of ``senders[i]``."""
-        self._state.send_objects(self._worker, senders, payloads)
+        self._state.send_objects(self._block, senders, payloads)
 
 
 class ObjectState(_RaggedStateBase):
@@ -862,7 +991,7 @@ class ObjectState(_RaggedStateBase):
         n = self.graph.num_vertices
         self.in_msg_indptr = np.zeros(n + 1, dtype=np.int64)
 
-    def send_objects(self, worker, senders, payloads: List[Any]) -> None:
+    def send_objects(self, workers, senders, payloads: List[Any]) -> None:
         # Per-message sizes via the algorithm's own sizer: one call per
         # sender instead of the scalar path's one call per edge -- every
         # copy of a payload has the same size either way.
@@ -870,7 +999,7 @@ class ObjectState(_RaggedStateBase):
         sizes = np.fromiter(
             (sizer(payload) for payload in payloads), dtype=np.int64, count=len(payloads)
         )
-        routed = self._route(worker, senders, sizes)
+        routed = self._route(workers, senders, sizes)
         if routed is None:
             return
         destinations, degrees, _ = routed

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List
 
-import numpy as np
-
 from repro.bsp.counters import WorkerCounters
 from repro.bsp.vertex import VertexContext
 
@@ -64,44 +62,3 @@ class Worker:
             counters.active_vertices += 1
             context._bind(vertex, superstep)
             compute(context, messages or [])
-
-    def select_active(
-        self, own: np.ndarray, halted: np.ndarray, message_counts: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized activation rule for the engine's batch superstep path.
-
-        ``own`` are this worker's vertex indices in partition order; ``halted``
-        and ``message_counts`` are graph-wide arrays.  Applies exactly the
-        scalar rule of :meth:`execute_superstep`: a vertex is active when it
-        has not voted to halt or when it has incoming messages (which clear
-        its halt vote), and ``active_vertices`` counts the vertices selected.
-        """
-        has_messages = message_counts[own] > 0
-        halted_own = halted[own]
-        reactivated = own[halted_own & has_messages]
-        if len(reactivated):
-            halted[reactivated] = False
-        active = own[~halted_own | has_messages]
-        self.counters.active_vertices = len(active)
-        return active
-
-    def select_active_range(
-        self, start: int, stop: int, halted: np.ndarray, message_counts: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`select_active` for a partition-contiguous vertex range.
-
-        On a partition-native graph layout this worker owns exactly the index
-        range ``[start, stop)``, so activation works on array *slices* (views)
-        instead of fancy-index gathers.  Same rule, same counter update.
-        """
-        halted_own = halted[start:stop]
-        has_messages = message_counts[start:stop] > 0
-        # ``halted_own`` is a view into ``halted``; materialise the activation
-        # mask before clearing the halt votes below mutates it.
-        active_mask = ~halted_own | has_messages
-        reactivated = halted_own & has_messages
-        if reactivated.any():
-            halted_own[reactivated] = False
-        active = np.flatnonzero(active_mask) + start
-        self.counters.active_vertices = len(active)
-        return active
