@@ -14,8 +14,12 @@ Pipeline
    policy, partitioner).  Re-ingesting the same file with the same options
    is a directory lookup.
 2. **Parse + spill** -- the file is read in fixed-size binary chunks
-   (gzip-aware), lines are tokenised and converted with vectorised
-   ``np.array(tokens).astype`` casts, self-loops are dropped (matching
+   (gzip-aware).  Each chunk's whole lines are tokenised as one ``uint8``
+   array (:func:`_parse_block`): token bounds from a whitespace mask, line
+   bounds from the newline positions, ids of up to 18 digits by column-wise
+   digit arithmetic, every other id and every weight by an
+   ``np.array(tokens).astype`` cast -- there is no per-line Python loop.
+   Self-loops are dropped (matching
    :class:`~repro.graph.builder.GraphBuilder` semantics) and the surviving
    ``(source, target, weight)`` triples are appended to a binary spill file.
 3. **Bucket sort** -- the spill is routed into at most
@@ -44,7 +48,9 @@ Cache layout (one directory per ``(file digest, options)``)::
         ids.npy       int64[n]   -- only for partition-permuted caches
         meta.json     counts, options, digest, partition offsets
 
-Vertex-id contract: ingestion requires non-negative integer ids and the
+Vertex-id contract: ingestion requires non-negative integer ids -- any
+token Python's ``int()`` accepts, below 2**63 (larger ids raise a
+``GraphFormatError`` naming the line) -- and the
 cache is *dense* -- the vertex set is ``0..max_id`` and ids never seen in
 the file are isolated vertices.  (``read_edge_list`` instead creates
 vertices in first-appearance order; the two agree on every edge and on the
@@ -79,7 +85,7 @@ PathLike = Union[str, Path]
 FORMAT_VERSION = 1
 
 #: Bytes of raw text parsed per chunk.  Peak parser memory is a small
-#: multiple of this (token lists plus the converted arrays).
+#: multiple of this (the byte mask, token positions and converted arrays).
 DEFAULT_CHUNK_BYTES = 1 << 20
 
 #: Target bytes of one bucket file; per-bucket sort memory is a small
@@ -99,6 +105,10 @@ _NPY_HEADER_SPACE = 128
 _SPILL_DTYPE = np.dtype([("source", "<i8"), ("target", "<i8"), ("weight", "<f8")])
 
 _HEADER_PREFIXES_B = tuple(prefix.encode("ascii") for prefix in HEADER_PREFIXES)
+
+#: Longest all-digit id token converted by digit arithmetic: 10**18 - 1 is
+#: below 2**63, so no such token can overflow int64.
+_MAX_FAST_DIGITS = 18
 
 
 # ------------------------------------------------------------------- digest
@@ -142,6 +152,11 @@ def _open_binary(path: Path):
     return open(path, "rb")
 
 
+def _int64(token: bytes) -> np.int64:
+    """``int(token)`` as int64: ``OverflowError`` outside int64, like the array cast."""
+    return np.int64(int(token))
+
+
 def _locate_parse_error(
     tokens: Sequence[bytes], line_numbers: Sequence[int], path: Path, what: str, cast
 ) -> GraphFormatError:
@@ -149,71 +164,153 @@ def _locate_parse_error(
     for token, line_no in zip(tokens, line_numbers):
         try:
             cast(token)
-        except ValueError:
+        except (ValueError, OverflowError):
             return GraphFormatError(f"{path}:{line_no}: {what}: {token.decode(errors='replace')!r}")
     return GraphFormatError(f"{path}: {what}")  # pragma: no cover - cast raced
 
-def _parse_lines(
-    lines: List[bytes], first_line_no: int, comment: bytes, path: Path
-) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], List[int]]]:
-    """Tokenise one block of lines into (sources, targets, weights?) arrays.
 
-    Comments, blank lines and ``write_edge_list``'s own header lines are
-    skipped (headers unconditionally -- see the satellite bugfix in
-    :func:`repro.graph.io.read_edge_list`).  The int/float conversions are
-    single vectorised ``astype`` casts over the token arrays.
+def _slices(body: bytes, begin: np.ndarray, end: np.ndarray) -> List[bytes]:
+    """The tokens ``body[begin:end]`` as bytes objects."""
+    return [body[b:e] for b, e in zip(begin.tolist(), end.tolist())]
+
+
+def _prefixed(
+    data: np.ndarray, lead: np.ndarray, begin: np.ndarray, end: np.ndarray, prefix: bytes
+) -> np.ndarray:
+    """Indices of the lines whose stripped text ``data[begin:end]`` starts with ``prefix``.
+
+    ``lead`` holds each line's first byte, so only lines that can match are
+    compared further.
     """
-    tok_src: List[bytes] = []
-    tok_tgt: List[bytes] = []
-    tok_wgt: List[bytes] = []
-    line_numbers: List[int] = []
-    has_weights = False
-    for offset, raw in enumerate(lines):
-        line = raw.strip()
-        if (
-            not line
-            or line.startswith(_HEADER_PREFIXES_B)
-            or line.startswith(comment)
-        ):
-            continue
-        parts = line.split(None, 3)
-        if len(parts) < 2:
-            raise GraphFormatError(
-                f"{path}:{first_line_no + offset}: expected 'source target "
-                f"[weight]', got {line.decode(errors='replace')!r}"
-            )
-        tok_src.append(parts[0])
-        tok_tgt.append(parts[1])
-        if len(parts) > 2:
-            tok_wgt.append(parts[2])
-            has_weights = True
-        else:
-            tok_wgt.append(b"1")
-        line_numbers.append(first_line_no + offset)
-    if not tok_src:
-        return None
-    try:
-        sources = np.array(tok_src).astype(np.int64)
-        targets = np.array(tok_tgt).astype(np.int64)
-    except ValueError:
-        raise _locate_parse_error(
-            tok_src + tok_tgt, line_numbers * 2, path,
-            "vertex ids are not integers", int,
-        ) from None
-    if has_weights:
+    if not prefix:
+        return np.arange(len(lead))
+    hits = np.flatnonzero(lead == prefix[0])
+    hits = hits[end[hits] - begin[hits] >= len(prefix)]
+    for offset in range(1, len(prefix)):
+        hits = hits[data[begin[hits] + offset] == prefix[offset]]
+    return hits
+
+
+def _parse_ids(
+    data: np.ndarray, body: bytes, begin: np.ndarray, end: np.ndarray,
+    line_numbers: np.ndarray, path: Path,
+) -> np.ndarray:
+    """Convert the id tokens ``data[begin:end]`` to int64.
+
+    Tokens of 1..``_MAX_FAST_DIGITS`` ASCII digits are summed column by
+    column, right-aligned to the longest one.  Every other token -- a sign,
+    an underscore, a longer digit run, any other byte -- goes through the
+    ``np.array(tokens).astype(np.int64)`` cast, which calls ``int()``, so
+    the accepted language is exactly Python's ``int()`` within int64.
+    """
+    lengths = end - begin
+    width = min(int(lengths.max()), _MAX_FAST_DIGITS)
+    values = np.zeros(len(begin), dtype=np.int64)
+    top = np.zeros(len(begin), dtype=np.uint8)  # any non-digit byte ends > 9
+    at = end - width
+    for _ in range(width):
+        # ``at`` runs left of a shorter token (below 0 at the block start);
+        # those columns add zeros.
+        digit = np.take(data, at, mode="clip") - np.uint8(48)
+        digit *= at >= begin
+        np.maximum(top, digit, out=top)
+        values *= 10
+        values += digit
+        at += 1
+    slow = (top > 9) | (lengths > _MAX_FAST_DIGITS)
+    if slow.any():
+        rows = np.flatnonzero(slow)
+        tokens = _slices(body, begin[rows], end[rows])
         try:
-            weights = np.array(tok_wgt).astype(np.float64)
+            values[rows] = np.array(tokens).astype(np.int64)
+        except (ValueError, OverflowError):
+            raise _locate_parse_error(
+                tokens, line_numbers[rows].tolist(), path,
+                "vertex ids are not integers", _int64,
+            ) from None
+    return values
+
+
+def _parse_block(
+    body: bytes, first_line_no: int, comment: bytes, path: Path
+) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Tokenise a block of whole lines into (sources, targets, weights?) arrays.
+
+    The block is scanned as one ``uint8`` array: token bounds come from the
+    ``bytes.split()`` whitespace mask, a token opens a line when a newline
+    precedes it, and comments, blank lines and ``write_edge_list``'s own
+    header lines are skipped by comparing the bytes at each line's first
+    token (headers whatever ``comment`` is, as in
+    :func:`repro.graph.io.read_edge_list`).  Errors carry ``path:lineno``.
+    """
+    data = np.frombuffer(body, dtype=np.uint8)
+    # The ``bytes.split()`` whitespace is space and \t \n \x0b \x0c \r
+    # (9..13); ``solid`` is padded with one whitespace byte at each end.
+    solid = np.zeros(len(data) + 2, dtype=bool)
+    np.logical_and(data != 32, (data < 9) | (data > 13), out=solid[1:-1])
+    # Token runs alternate with whitespace runs, so the flips of the mask
+    # alternate token start, token end, start, end, ...
+    flips = np.flatnonzero(solid[1:] != solid[:-1])
+    del solid
+    if not len(flips):
+        return None
+    starts, ends = flips[0::2], flips[1::2]
+    # The first token after each newline, behind a virtual newline before
+    # the block: entry k opens line k, unless line k is blank -- then it
+    # repeats entry k + 1 (or, on the last line, is past the last token).
+    after = np.concatenate(
+        ([0], np.searchsorted(starts, np.flatnonzero(data == ord("\n"))))
+    )
+    opens = np.empty(len(after), dtype=bool)
+    np.not_equal(after[:-1], after[1:], out=opens[:-1])
+    opens[-1] = after[-1] < len(starts)
+    line_offsets = np.flatnonzero(opens)
+    first = after[line_offsets]  # each non-blank line's first token
+    counts = np.diff(first, append=len(starts))
+    line_begin = starts[first]
+    line_end = ends[first + counts - 1]
+
+    keep = np.ones(len(first), dtype=bool)
+    lead = data[line_begin]
+    for prefix in (comment,) + _HEADER_PREFIXES_B:
+        keep[_prefixed(data, lead, line_begin, line_end, prefix)] = False
+    if not keep.all():
+        first, counts, line_offsets = first[keep], counts[keep], line_offsets[keep]
+        line_begin, line_end = line_begin[keep], line_end[keep]
+    if not len(first):
+        return None
+    line_numbers = first_line_no + line_offsets
+    short = np.flatnonzero(counts < 2)
+    if len(short):
+        row = int(short[0])
+        line = body[line_begin[row]:line_end[row]]
+        raise GraphFormatError(
+            f"{path}:{line_numbers[row]}: expected 'source target "
+            f"[weight]', got {line.decode(errors='replace')!r}"
+        )
+
+    sources = _parse_ids(data, body, line_begin, ends[first], line_numbers, path)
+    targets = _parse_ids(
+        data, body, starts[first + 1], ends[first + 1], line_numbers, path
+    )
+    weighted = np.flatnonzero(counts > 2)
+    weights = None
+    if len(weighted):
+        slots = first[weighted] + 2
+        tokens = _slices(body, starts[slots], ends[slots])
+        try:
+            parsed = np.array(tokens).astype(np.float64)
         except ValueError:
             raise _locate_parse_error(
-                tok_wgt, line_numbers, path, "bad weight", float
+                tokens, line_numbers[weighted].tolist(), path, "bad weight", float
             ) from None
-    else:
-        weights = None
+        weights = np.ones(len(first), dtype=np.float64)
+        weights[weighted] = parsed
     bad = (sources < 0) | (targets < 0)
     if bad.any():
         line_no = line_numbers[int(np.argmax(bad))]
         raise GraphFormatError(f"{path}:{line_no}: vertex ids must be non-negative")
-    return sources, targets, weights, line_numbers
+    return sources, targets, weights
 
 
 def _iter_chunks(handle, comment: bytes, chunk_bytes: int, path: Path):
@@ -230,13 +327,13 @@ def _iter_chunks(handle, comment: bytes, chunk_bytes: int, path: Path):
             carry = block
             continue
         carry = block[cut + 1 :]
-        lines = block[:cut].split(b"\n")
-        parsed = _parse_lines(lines, line_no, comment, path)
-        line_no += len(lines)
+        body = block[:cut]
+        parsed = _parse_block(body, line_no, comment, path)
+        line_no += body.count(b"\n") + 1
         if parsed is not None:
             yield parsed
     if carry.strip():
-        parsed = _parse_lines([carry], line_no, comment, path)
+        parsed = _parse_block(carry, line_no, comment, path)
         if parsed is not None:
             yield parsed
 
@@ -367,7 +464,7 @@ def _ingest_into(
     # Pass A: chunked parse -> binary spill of (source, target, weight).
     parse_span = tracer.begin("ingest.parse")
     with _open_binary(file_path) as handle, open(spill_path, "wb") as spill:
-        for sources, targets, weights, _ in _iter_chunks(
+        for sources, targets, weights in _iter_chunks(
             handle, comment_b, chunk_bytes, file_path
         ):
             if not allow_self_loops:

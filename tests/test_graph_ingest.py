@@ -239,6 +239,17 @@ class TestIngestErrors:
         with pytest.raises(GraphFormatError, match=r"bad\.txt:2"):
             ingest_edge_list(path, tmp_path / "cache")
 
+    def test_id_outside_int64_reports_line_number(self, tmp_path):
+        """Past int64 the cast overflows; that must still be a typed error."""
+        path = tmp_path / "big.txt"
+        path.write_text("1 2\n99999999999999999999 3\n")
+        with pytest.raises(
+            GraphFormatError,
+            match=r"big\.txt:2: vertex ids are not integers: '99999999999999999999'",
+        ):
+            ingest_edge_list(path, tmp_path / "cache")
+        assert read_edge_list(path).num_edges == 2  # the reader has no int64 bound
+
     def test_bad_weight_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1 1.5\n1 2 soup\n")

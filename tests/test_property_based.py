@@ -9,12 +9,22 @@ These cover the invariants the rest of the system silently relies on:
 * the regression (exact recovery of linear ground truth, scale equivariance),
 * the extrapolator (linearity, identity at factor 1),
 * the samplers (requested ratio met, sample is a subgraph),
-* the transform functions (threshold scaling is exact and pure).
+* the transform functions (threshold scaling is exact and pure),
+* the edge-list boundary: the chunked ingester reads any file the way
+  ``read_edge_list`` does -- same edges per id, bit-identical weights, and
+  the same line number when a line is malformed.
 """
 
 from __future__ import annotations
 
+import gzip
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +33,13 @@ from repro.core.features import FeatureTable
 from repro.core.regression import fit_linear_model
 from repro.core.transform import THRESHOLD_SCALING_TRANSFORM
 from repro.algorithms.pagerank import PageRank, PageRankConfig
+from repro.exceptions import GraphFormatError
 from repro.graph.digraph import DiGraph
 from repro.graph import generators
+from repro.graph.ingest import (
+    DEFAULT_CHUNK_BYTES, _iter_chunks, ingest_edge_list, load_csr_cache,
+)
+from repro.graph.io import read_edge_list
 from repro.sampling.random_jump import RandomJump
 from repro.utils.stats import coefficient_of_determination, d_statistic, signed_relative_error
 
@@ -257,3 +272,150 @@ class TestFeatureTableProperties:
             assert matrix[i, 0] == a
             assert matrix[i, 1] == b
         assert list(table.response()) == [a + b for a, b in pairs]
+
+
+# ------------------------------------------------------- edge-list boundary
+# Files are built from what both readers agree is a line break (``\n`` or
+# ``\r\n``) and whitespace (space, \t, \x0b, \x0c).  A lone ``\r`` and
+# \x1c-\x1f are breaks or whitespace only to the text-mode reader, so they
+# are left out.
+gaps = st.text(alphabet=" \t\x0b\x0c", min_size=1, max_size=3)
+margins = st.text(alphabet=" \t\x0b\x0c", max_size=2)
+
+
+@st.composite
+def id_tokens(draw, ids):
+    """An id written with optional ``+`` sign and leading zeros."""
+    sign = draw(st.sampled_from(["", "+"]))
+    return sign + "0" * draw(st.integers(0, 3)) + str(draw(ids))
+
+
+weight_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-50, 50).map(str),
+    st.sampled_from(["1e-3", "-0.0", "2.5E2", ".5", "7."]),
+)
+
+
+@st.composite
+def edge_lines(draw, ids):
+    fields = [draw(id_tokens(ids)), draw(id_tokens(ids))]
+    if draw(st.booleans()):
+        fields.append(draw(weight_tokens))
+        fields += draw(st.lists(st.sampled_from(["x", "7", "#"]), max_size=2))
+    line = fields[0]
+    for field in fields[1:]:
+        line += draw(gaps) + field
+    return draw(margins) + line + draw(margins)
+
+
+def other_lines(comment):
+    return st.one_of(
+        margins,  # blank, or whitespace only
+        st.tuples(margins, st.sampled_from([comment, comment + " note", comment + "1 2"])).map(
+            "".join
+        ),
+        st.sampled_from(["# graph: g", "# vertices: 3 edges: 4", "  # graph:"]),
+    )
+
+
+@st.composite
+def edge_files(draw, ids, comment="#"):
+    lines = draw(st.lists(
+        st.one_of(edge_lines(ids), other_lines(comment)), max_size=40,
+    ))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines)
+    if lines and draw(st.booleans()):
+        text += eol
+    return text.encode("ascii")
+
+
+def write_edge_file(directory: Path, body: bytes, gzipped: bool) -> Path:
+    path = directory / ("edges.txt.gz" if gzipped else "edges.txt")
+    if gzipped:
+        with gzip.open(path, "wb") as handle:
+            handle.write(body)
+    else:
+        path.write_bytes(body)
+    return path
+
+
+def adjacency_by_id(graph):
+    """``id -> [(target id, weight bits), ...]`` in stored order."""
+    ids = list(graph.ids)
+    indptr = np.asarray(graph.indptr)
+    targets = np.asarray(graph.targets)
+    bits = np.asarray(graph.weights, dtype=np.float64).view(np.int64)
+    return {
+        vertex: [(ids[int(t)], int(b)) for t, b in zip(
+            targets[indptr[i]:indptr[i + 1]], bits[indptr[i]:indptr[i + 1]]
+        )]
+        for i, vertex in enumerate(ids)
+        if indptr[i + 1] > indptr[i]
+    }
+
+
+def error_line(excinfo) -> int:
+    """The line number in a ``path:lineno: ...`` error message."""
+    return int(re.search(r":(\d+): ", str(excinfo.value)).group(1))
+
+
+chunk_sizes = st.one_of(st.integers(1, 64), st.just(DEFAULT_CHUNK_BYTES))
+
+
+class TestEdgeListBoundaryProperties:
+    @given(
+        st.sampled_from(["#", "%"]).flatmap(
+            lambda c: st.tuples(st.just(c), edge_files(st.integers(0, 40), c))
+        ),
+        chunk_sizes,
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ingest_matches_reader(self, comment_and_body, chunk_bytes, gzipped):
+        comment, body = comment_and_body
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_edge_file(Path(tmp), body, gzipped)
+            cache = ingest_edge_list(path, Path(tmp) / "cache", comment=comment,
+                                     chunk_bytes=chunk_bytes)
+            ingested = load_csr_cache(cache)
+            reference = read_edge_list(path, comment=comment, frozen=True)
+            assert ingested.num_edges == reference.num_edges
+            assert adjacency_by_id(ingested) == adjacency_by_id(reference)
+
+    @given(edge_files(st.integers(0, 2**63 - 1)), chunk_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_parser_reads_every_int64_id(self, body, chunk_bytes):
+        """Ids up to 2**63 - 1 parse exactly (the dense cache cannot hold them)."""
+        path = Path("edges.txt")
+        adjacency = {}
+        for sources, targets, weights in _iter_chunks(io.BytesIO(body), b"#", chunk_bytes, path):
+            weights = np.ones(len(sources)) if weights is None else weights
+            for source, target, bits in zip(
+                sources.tolist(), targets.tolist(), weights.view(np.int64).tolist()
+            ):
+                adjacency.setdefault(source, []).append((target, bits))
+        with tempfile.TemporaryDirectory() as tmp:
+            file_path = write_edge_file(Path(tmp), body, gzipped=False)
+            reference = read_edge_list(file_path, allow_self_loops=True, frozen=True)
+        assert adjacency == adjacency_by_id(reference)
+
+    @given(
+        edge_files(st.integers(0, 40)),
+        st.sampled_from(["7", "x 1", "3 1.5", "+ 4", "12 -", "4 0x1f", "1 2 w", "1 2 1.2.3"]),
+        st.integers(0, 50),
+        chunk_sizes,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_line_number_matches_reader(self, body, bad_line, position, chunk_bytes):
+        eol = b"\r\n" if b"\r\n" in body else b"\n"
+        lines = body.split(eol)
+        lines.insert(min(position, len(lines)), bad_line.encode("ascii"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_edge_file(Path(tmp), eol.join(lines), gzipped=False)
+            with pytest.raises(GraphFormatError) as reader_error:
+                read_edge_list(path)
+            with pytest.raises(GraphFormatError) as ingest_error:
+                ingest_edge_list(path, Path(tmp) / "cache", chunk_bytes=chunk_bytes)
+        assert error_line(ingest_error) == error_line(reader_error)
